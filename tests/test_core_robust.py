@@ -1,11 +1,15 @@
 """Tests for the Section-5 failure-tolerant algorithms (Theorem 1.4)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.core.robust import default_pulls_per_iteration, robust_approximate_quantile
 from repro.exceptions import ConfigurationError
+from repro.faults import CrashRestart, FaultInjector, MessageDrop
 from repro.gossip.failures import PerNodeFailures
+from repro.utils.rand import RandomSource
 from repro.utils.stats import rank_error
 
 
@@ -103,3 +107,72 @@ def test_validation_errors(medium_values):
         robust_approximate_quantile(
             medium_values, phi=0.5, eps=0.1, failure_model=0.1, final_samples=4
         )
+
+
+# ---- stream pins --------------------------------------------------------------
+#
+# sha256 prefixes over every output of seeded robust runs: the estimates'
+# bytes, then the estimate, rounds, messages, bits, good fraction and
+# answered fraction.  Captured on the per-node-loop selection that the
+# array selection replaced; the two must agree bit for bit.  The grid covers
+# both failure models, float32, no spreading rounds, a 2-tournament schedule
+# with delta < 1 (phi = 0.2 and 0.8: the coin branch, min and max) and a
+# drop + crash injector.  The crash pin records a known defect on purpose:
+# under crash faults every node loses good status (good = answered = 0,
+# estimate NaN).  A pin changes only with a CHANGES.md note saying why.
+
+def _pin_values(n, seed):
+    return RandomSource(seed).random(n) * 100.0
+
+
+def _pin_digest(result):
+    digest = hashlib.sha256(np.ascontiguousarray(result.estimates).tobytes())
+    digest.update(repr((
+        result.estimate, result.rounds, result.metrics.messages,
+        result.metrics.total_bits, result.good_fraction, result.answered_fraction,
+    )).encode())
+    return digest.hexdigest()[:16]
+
+
+def _half_failing(n):
+    probs = np.zeros(n)
+    probs[: n // 2] = 0.4
+    return PerNodeFailures(probs)
+
+
+ROBUST_PINS = {
+    "mu0": (dict(seed=1, n=2048, phi=0.5, failure_model=0.0), "af32a0b9675c1426"),
+    "mu0.1": (dict(seed=2, n=2048, phi=0.5, failure_model=0.1), "481c20a2d69ad399"),
+    "mu0.3": (dict(seed=3, n=20_000, phi=0.5, failure_model=0.3), "ae19b4ed9853a800"),
+    "per_node": (
+        dict(seed=4, n=2048, phi=0.5, failure_model=_half_failing(2048)),
+        "7e525e02385175ff",
+    ),
+    "float32": (
+        dict(seed=5, n=2048, phi=0.5, failure_model=0.1, dtype=np.float32),
+        "7c18ddeb0099ab6d",
+    ),
+    "no_spread": (
+        dict(seed=6, n=2048, phi=0.5, failure_model=0.3, extra_spread_rounds=0),
+        "c323553bf0372698",
+    ),
+    "coin_min": (dict(seed=7, n=2048, phi=0.2, failure_model=0.1), "65eef3173bb707b8"),
+    "coin_max": (dict(seed=8, n=2048, phi=0.8, failure_model=0.1), "76de7f2227f8617c"),
+    "drop_crash": (
+        dict(
+            seed=9, n=2048, phi=0.5, failure_model=0.0,
+            faults=FaultInjector([MessageDrop(0.1), CrashRestart(0.1)], rng=3),
+        ),
+        "e88314974ada46c2",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROBUST_PINS))
+def test_robust_stream_pinned(name):
+    config, expected = ROBUST_PINS[name]
+    config = dict(config)
+    seed = config.pop("seed")
+    values = _pin_values(config.pop("n"), 40 + seed)
+    result = robust_approximate_quantile(values, eps=0.1, rng=seed, **config)
+    assert _pin_digest(result) == expected
