@@ -8,7 +8,9 @@ contacted node was good at the end of the previous iteration; a node stays
 good as long as it collects enough good pulls, and only good pulls feed the
 tournament.  Lemma 5.2 shows a constant fraction of nodes stays good
 throughout, so all concentration arguments carry over with ``n`` replaced by
-the good-node count.
+the good-node count.  Each pull batch selects every node's first good pulls
+in one array pass: the good pulls, listed row by row, sit at per-node
+offsets given by a cumulative count.
 
 After the final vote, ``t`` extra spreading rounds let all but an expected
 ``n / 2^t`` nodes adopt an answer from a node that already has one.
@@ -18,16 +20,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
 from repro.core.schedules import three_tournament_schedule, two_tournament_schedule
+from repro.core.three_tournament import _median_of_three
 from repro.exceptions import ConfigurationError
 from repro.faults.injectors import FaultInjector
 from repro.gossip.failures import FailureModel, resolve_failure_model
 from repro.gossip.metrics import NetworkMetrics
-from repro.gossip.network import GossipNetwork
+from repro.gossip.network import GossipNetwork, PullBatch
 from repro.utils.rand import RandomSource
 
 
@@ -39,6 +42,26 @@ def default_pulls_per_iteration(mu: float) -> int:
         return 4
     scale = 1.0 / (1.0 - mu)
     return max(4, int(math.ceil(4.0 * scale * math.log(4.0 * scale))) + 1)
+
+
+def _first_good_pulls(
+    batch: PullBatch, good: np.ndarray, count: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The nodes that stay good and the values of their first good pulls.
+
+    A pull is good if the puller acted and the partner was good; a good
+    node stays good if it made at least ``count`` good pulls.  Returns the
+    stay-good mask and a ``(stays, count)`` array of those nodes' first
+    ``count`` good pulled values, in pull order.  Boolean indexing lists
+    every good pull row by row, so node ``v``'s ``j``-th good pull sits at
+    ``starts[v] + j`` of that flat list.
+    """
+    goodmask = batch.ok & good[batch.partners]
+    per_node = np.count_nonzero(goodmask, axis=1)
+    starts = np.cumsum(per_node) - per_node
+    stays = good & (per_node >= count)
+    flat = batch.values[goodmask]
+    return stays, flat[starts[stays, None] + np.arange(count)]
 
 
 @dataclass
@@ -124,6 +147,9 @@ def robust_approximate_quantile(
     array = np.asarray(values, dtype=float)
     if array.ndim != 1 or array.size < 4:
         raise ConfigurationError("values must be a 1-d array with at least 4 entries")
+    if np.isnan(array).any():
+        # NaN is the estimates' marker for "no answer", and it has no rank.
+        raise ConfigurationError("values must not contain NaN")
     n = array.size
     network = GossipNetwork(
         array,
@@ -136,75 +162,37 @@ def robust_approximate_quantile(
     good = np.ones(n, dtype=bool)
     k_pulls = int(pulls_per_iteration)
 
-    def good_pull_mask(batch) -> np.ndarray:
-        """Which pulls are good: the puller acted and the partner was good."""
-        return batch.ok & good[batch.partners]
-
-    def first_good(batch, goodmask, count: int):
-        """Indices (per node) of the first ``count`` good pulls, or None."""
-        chosen = np.full((n, count), -1, dtype=int)
-        enough = np.zeros(n, dtype=bool)
-        for node in range(n):
-            cols = np.nonzero(goodmask[node])[0]
-            if cols.size >= count:
-                chosen[node] = cols[:count]
-                enough[node] = True
-        return chosen, enough
-
     # ---- Phase I: robust 2-TOURNAMENT -----------------------------------------
     schedule1 = two_tournament_schedule(phi, eps)
     take_min = schedule1.direction == "min"
     for iteration in schedule1.iterations:
-        current = network.snapshot()
+        new_values = network.snapshot()
         batch = network.pull(k_pulls, label="robust-2-tournament")
-        goodmask = good_pull_mask(batch)
-        chosen, enough = first_good(batch, goodmask, 2)
-        new_good = good & enough
-        new_values = current.copy()
-        idx = np.nonzero(new_good)[0]
-        if idx.size:
-            first = batch.values[idx, chosen[idx, 0]]
-            second = batch.values[idx, chosen[idx, 1]]
-            winners = np.minimum(first, second) if take_min else np.maximum(first, second)
-            if iteration.delta >= 1.0:
-                new_values[idx] = winners
-            else:
-                coin = network.rng.random(idx.size)
-                new_values[idx] = np.where(coin < iteration.delta, winners, first)
-        good = new_good
-        network.set_values(new_values)
+        good, picked = _first_good_pulls(batch, good, 2)
+        first, second = picked[:, 0], picked[:, 1]
+        winners = np.minimum(first, second) if take_min else np.maximum(first, second)
+        if iteration.delta < 1.0:
+            coin = network.rng.random(winners.size)
+            winners = np.where(coin < iteration.delta, winners, first)
+        new_values[good] = winners
+        network.set_values(new_values, copy=False)
 
     # ---- Phase II: robust 3-TOURNAMENT ----------------------------------------
     schedule2 = three_tournament_schedule(eps / 4.0, n)
     for _iteration in schedule2.iterations:
-        current = network.snapshot()
+        new_values = network.snapshot()
         batch = network.pull(k_pulls, label="robust-3-tournament")
-        goodmask = good_pull_mask(batch)
-        chosen, enough = first_good(batch, goodmask, 3)
-        new_good = good & enough
-        new_values = current.copy()
-        idx = np.nonzero(new_good)[0]
-        if idx.size:
-            picked = np.stack(
-                [batch.values[idx, chosen[idx, j]] for j in range(3)], axis=1
-            )
-            new_values[idx] = np.sort(picked, axis=1, kind="stable")[:, 1]
-        good = new_good
-        network.set_values(new_values)
+        good, picked = _first_good_pulls(batch, good, 3)
+        new_values[good] = _median_of_three(picked[:, 0], picked[:, 1], picked[:, 2])
+        network.set_values(new_values, copy=False)
 
     # ---- Final vote ------------------------------------------------------------
     vote_pulls = max(k_pulls, int(math.ceil(final_samples / max(1e-9, 1.0 - model.mu))) + 2)
-    current = network.snapshot()
     batch = network.pull(vote_pulls, label="robust-vote")
-    goodmask = good_pull_mask(batch)
-    chosen, enough = first_good(batch, goodmask, final_samples)
+    answered, picked = _first_good_pulls(batch, good, final_samples)
+    middle = final_samples // 2
     estimates = np.full(n, np.nan)
-    idx = np.nonzero(good & enough)[0]
-    if idx.size:
-        picked = np.stack(
-            [batch.values[idx, chosen[idx, j]] for j in range(final_samples)], axis=1
-        )
-        estimates[idx] = np.sort(picked, axis=1, kind="stable")[:, final_samples // 2]
+    estimates[answered] = np.partition(picked, middle, axis=1)[:, middle]
 
     # ---- Extra spreading rounds (the "+t" of Theorem 1.4) ----------------------
     for _ in range(int(extra_spread_rounds)):

@@ -431,9 +431,13 @@ class GossipNetwork:
         return block.transpose(1, 2, 0)
 
     def _mask_failed(self, pulled: np.ndarray, ok: np.ndarray) -> np.ndarray:
-        """NaN out the pulls of failed nodes (lane-broadcast for L > 1)."""
-        mask = ok if pulled.ndim == 2 else ok[:, :, None]
-        return np.where(mask, pulled, np.nan)
+        """NaN out the pulls of failed nodes (lane-broadcast for L > 1).
+
+        Writes in place: every caller hands over a freshly gathered array.
+        """
+        failed = ~ok if pulled.ndim == 2 else ~ok[:, :, None]
+        np.copyto(pulled, np.nan, where=failed)
+        return pulled
 
     def _pull_dynamic(
         self, k: int, label: str, bits: int, source: np.ndarray

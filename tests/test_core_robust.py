@@ -4,11 +4,17 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.core.robust import default_pulls_per_iteration, robust_approximate_quantile
+from repro.core.robust import (
+    _first_good_pulls,
+    default_pulls_per_iteration,
+    robust_approximate_quantile,
+)
 from repro.exceptions import ConfigurationError
 from repro.faults import CrashRestart, FaultInjector, MessageDrop
 from repro.gossip.failures import PerNodeFailures
+from repro.gossip.network import PullBatch
 from repro.utils.rand import RandomSource
 from repro.utils.stats import rank_error
 
@@ -107,6 +113,107 @@ def test_validation_errors(medium_values):
         robust_approximate_quantile(
             medium_values, phi=0.5, eps=0.1, failure_model=0.1, final_samples=4
         )
+
+
+def test_nan_values_rejected(medium_values):
+    values = medium_values.astype(float)
+    values[3] = np.nan
+    with pytest.raises(ConfigurationError, match="NaN"):
+        robust_approximate_quantile(values, phi=0.5, eps=0.1, failure_model=0.1)
+
+
+def test_infinite_values_accepted(medium_values):
+    values = medium_values.astype(float)
+    values[:4] = [np.inf, -np.inf, np.inf, -np.inf]
+    result = robust_approximate_quantile(
+        values, phi=0.5, eps=0.1, failure_model=0.1, rng=9
+    )
+    assert rank_error(values, result.estimate, 0.5) <= 0.1
+
+
+# ---- first-good-pull selection ------------------------------------------------
+
+def _loop_first_good(batch, good, count):
+    """Per-node reference: scan each row for its first ``count`` good pulls."""
+    goodmask = batch.ok & good[batch.partners]
+    n = goodmask.shape[0]
+    chosen = np.full((n, count), -1, dtype=int)
+    enough = np.zeros(n, dtype=bool)
+    for node in range(n):
+        cols = np.nonzero(goodmask[node])[0]
+        if cols.size >= count:
+            chosen[node] = cols[:count]
+            enough[node] = True
+    stays = good & enough
+    idx = np.nonzero(stays)[0]
+    picked = np.stack([batch.values[idx, chosen[idx, j]] for j in range(count)], axis=1)
+    return stays, picked
+
+
+def _assert_same_selection(batch, good, count):
+    stays, picked = _first_good_pulls(batch, good, count)
+    want_stays, want_picked = _loop_first_good(batch, good, count)
+    np.testing.assert_array_equal(stays, want_stays)
+    assert picked.shape == (int(want_stays.sum()), count)
+    assert picked.dtype == batch.values.dtype
+    assert picked.tobytes() == want_picked.tobytes()
+    return stays, picked
+
+
+def test_first_good_pulls_hand_built_rows():
+    # Node 4 is not good, so every pull of node 4 is bad.
+    good = np.array([True, True, True, True, False])
+    partners = np.array([
+        [1, 2, 3, 1],   # node 0: four good pulls, keeps the first two
+        [0, 4, 4, 4],   # node 1: one good pull (partner 4 is not good)
+        [4, 0, 4, 1],   # node 2: exactly two good pulls, at columns 1 and 3
+        [0, 1, 2, 0],   # node 3: its pulls failed except columns 2 and 3
+        [0, 1, 2, 3],   # node 4: good pulls, but the puller was not good
+    ])
+    ok = np.ones(partners.shape, dtype=bool)
+    ok[3, :2] = False
+    values = 10.0 * np.arange(partners.size, dtype=float).reshape(partners.shape)
+    batch = PullBatch(partners=partners, values=values, ok=ok)
+
+    stays, picked = _assert_same_selection(batch, good, 2)
+    np.testing.assert_array_equal(stays, [True, False, True, True, False])
+    np.testing.assert_array_equal(picked, [[0.0, 10.0], [90.0, 110.0], [140.0, 150.0]])
+
+
+def test_first_good_pulls_count_equals_k_and_empty_rows():
+    good = np.ones(3, dtype=bool)
+    partners = np.array([[1, 2, 1], [0, 2, 0], [0, 1, 1]])
+    ok = np.array([[True, True, True], [True, False, True], [False] * 3])
+    values = np.arange(9, dtype=np.float32).reshape(3, 3)
+    batch = PullBatch(partners=partners, values=values, ok=ok)
+
+    stays, picked = _assert_same_selection(batch, good, 3)
+    np.testing.assert_array_equal(stays, [True, False, False])
+    np.testing.assert_array_equal(picked, [[0.0, 1.0, 2.0]])
+
+    # No node has enough good pulls: an empty selection, not an error.
+    stays, picked = _assert_same_selection(batch, np.zeros(3, dtype=bool), 1)
+    assert not stays.any() and picked.shape == (0, 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=40),
+    k=st.integers(min_value=1, max_value=12),
+    data=st.data(),
+)
+def test_first_good_pulls_matches_per_node_loop(n, k, data):
+    count = data.draw(st.integers(min_value=1, max_value=k))
+    seed = data.draw(st.integers(min_value=0, max_value=10_000))
+    p_ok = data.draw(st.floats(min_value=0.0, max_value=1.0))
+    p_good = data.draw(st.floats(min_value=0.0, max_value=1.0))
+    gen = np.random.default_rng(seed)
+    batch = PullBatch(
+        partners=gen.integers(0, n, size=(n, k)),
+        values=gen.standard_normal((n, k)),
+        ok=gen.random((n, k)) < p_ok,
+    )
+    _assert_same_selection(batch, gen.random(n) < p_good, count)
 
 
 # ---- stream pins --------------------------------------------------------------
