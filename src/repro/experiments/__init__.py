@@ -2,10 +2,10 @@
 
 Every experiment module exposes a ``run(...)`` function returning a list of
 result-row dictionaries plus module-level ``COLUMNS`` describing the table
-layout.  The benchmarks under ``benchmarks/`` call the same ``run``
-functions with reduced parameters, so the tables in EXPERIMENTS.md can be
-regenerated either through pytest-benchmark or through the CLI
-(``python -m repro <experiment>``).
+layout.  The tables in EXPERIMENTS.md are regenerated through the CLI
+(``python -m repro <experiment>``); ``tests/test_experiments.py`` runs the
+same ``run`` functions with reduced parameters and asserts each table's
+shape.
 """
 
 from repro.experiments import (

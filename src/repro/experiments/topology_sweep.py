@@ -14,6 +14,10 @@ to the topology's spectral gap:
   unchanged with neighbor pulls; their *round* count is fixed by the
   schedule, so the sweep reports the achieved rank error instead.
 
+The ``quality`` column is the final relative spread of the average
+estimates (push-sum), the fraction of nodes informed (broadcast) or the
+rank error of the estimate (approx-quantile).
+
 Expected shape: expanders (random regular, Erdős–Rényi, small-world at
 moderate rewiring) track the complete graph to within a constant factor —
 their spectral gap is constant — while the ring and torus need polynomially
@@ -61,15 +65,6 @@ PROTOCOLS = ("push-sum", "broadcast", "approx-quantile")
 #: gap makes the round cap the only possible outcome at large n; add it
 #: explicitly to see exactly that).
 DEFAULT_TOPOLOGIES = ("complete", "ring", "regular", "erdos-renyi", "small-world")
-
-
-def _quality_label(protocol: str) -> str:
-    """What the ``quality`` column means for each protocol (docs + tests)."""
-    return {
-        "push-sum": "final relative spread of the average estimates",
-        "broadcast": "fraction of nodes informed",
-        "approx-quantile": "rank error of the estimate",
-    }[protocol]
 
 
 def _run_cell(

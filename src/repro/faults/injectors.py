@@ -22,13 +22,15 @@ with amnesia.  This module provides that vocabulary as two layers:
   :class:`RoundFaults` decision per round, keeps per-kind injection
   counters, and reports every faulty round as a ``repro.obs`` point event.
 
-Consumers apply what their surface can express:
-:class:`~repro.gossip.network.GossipNetwork` applies all five kinds on its
-pull surface; the round engines (:mod:`repro.gossip.engine`) fold the
-act-suppression kinds (``crash``, ``drop``) into their existing
-failure-mask plumbing.  The injector draws *every* kind each round
-regardless of consumer, so the private stream layout — and therefore the
-replay — is independent of which surface consumes it.
+Consumers draw each round's decision through
+:func:`~repro.gossip.failures.round_failures`, which ORs the
+act-suppression kinds (``crash``, ``drop``) into the round's failed mask
+for the round engines and the
+:class:`~repro.gossip.network.GossipNetwork` pull surface alike; the pull
+surface then also applies the message-level kinds (duplication, delay,
+corruption) and restart state loss.  The injector draws *every* kind each
+round regardless of consumer, so the private stream layout — and therefore
+the replay — is independent of which surface consumes it.
 """
 
 from __future__ import annotations

@@ -26,7 +26,12 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError, ConvergenceError, ProtocolError
 from repro.faults.injectors import FaultInjector
-from repro.gossip.failures import FailureModel, NoFailures, resolve_failure_model
+from repro.gossip.failures import (
+    FailureModel,
+    NoFailures,
+    resolve_failure_model,
+    round_failures,
+)
 from repro.gossip.messages import payload_bits
 from repro.gossip.metrics import NetworkMetrics, RoundRecord
 from repro.gossip.protocol import Action, BatchAction, BatchGossipProtocol, GossipProtocol
@@ -34,11 +39,7 @@ from repro.obs.tracer import get_tracer
 from repro.topology.dynamic import TopologyProcess, resolve_topology_process
 from repro.topology.graphs import Topology
 from repro.utils.views import readonly
-from repro.topology.sampler import (
-    PeerSampler,
-    draw_uniform_round_partners,
-    resolve_peer_sampler,
-)
+from repro.topology.sampler import PeerSampler, resolve_peer_sampler
 from repro.utils.rand import RandomSource
 
 #: Valid values for the ``engine`` argument of :func:`run_protocol`.
@@ -140,18 +141,11 @@ def _cached_mask(n: int, value: bool) -> np.ndarray:
     return mask
 
 
-def draw_round_partners(source: RandomSource, n: int) -> np.ndarray:
-    """Draw each node's uniformly random partner for one round.
-
-    Partners are uniform among the *other* ``n - 1`` nodes; see
-    :func:`repro.topology.sampler.draw_uniform_round_partners`, which this
-    re-exports for backward compatibility.  Both engines draw through the
-    same sampler, so they consume the random stream identically.
-    """
-    return draw_uniform_round_partners(source, n)
-
-
-def _begin_run(
+# The engine-agnostic round scaffolding: begin_run, begin_round and
+# finish_run.  The asyncio backend (:mod:`repro.net.runner`) builds its
+# rounds on them too, which is how its random-stream consumption stays
+# bit-identical to the simulated engines and the equivalence pins hold.
+def begin_run(
     protocol: GossipProtocol,
     rng: Union[None, int, RandomSource],
     failure_model: Union[None, float, FailureModel],
@@ -186,7 +180,7 @@ def _begin_run(
     return source, failures, stats, sampler
 
 
-def _finish_run(
+def finish_run(
     protocol: GossipProtocol,
     stats: NetworkMetrics,
     rounds: int,
@@ -207,7 +201,7 @@ def _finish_run(
     )
 
 
-def _begin_round(
+def begin_round(
     protocol: GossipProtocol,
     round_index: int,
     n: int,
@@ -221,20 +215,15 @@ def _begin_round(
     """Shared per-round prologue: accounting, failure mask, partner draw.
 
     Without a topology process this is byte-for-byte the static path.  With
-    one, the per-round sampler and active mask come from the process (whose
-    evolution runs on its own private stream), departed nodes are folded
-    into the failure mask — they neither act nor, because process samplers
-    only return active targets, receive — and the partner draw still
-    consumes the engine's stream, keeping loop and vectorized runs aligned.
-
-    The three robustness inputs compose by OR: a node is out of a round if
-    its Section-5 failure mask fires, *or* the topology process marks it
-    departed, *or* an attached fault injector suppresses it (crash/drop).
-    Each draws from its own stream — the failure model from the engine's,
-    process and injector from their private ones — so composing them never
-    shifts the others' draws.  The message-level fault kinds (duplication,
-    delay, corruption) have no engine-level meaning; they apply only on
-    the :class:`~repro.gossip.network.GossipNetwork` pull surface.
+    one, the per-round sampler comes from the process, whose evolution runs
+    on its own private stream; process samplers only return active targets,
+    so departed nodes neither act nor receive.  The failed mask is
+    :func:`~repro.gossip.failures.round_failures`: failure model OR
+    departed OR injector-suppressed.  The message-level fault kinds
+    (duplication, delay, corruption) have no engine-level meaning; they
+    apply only on the :class:`~repro.gossip.network.GossipNetwork` pull
+    surface.  The failure mask, then the partner draw, consume the engine
+    stream, keeping loop, vectorized and asyncio runs aligned.
     """
     record = stats.begin_round(label=protocol.name)
     if process is None and faults is None and isinstance(failures, NoFailures):
@@ -243,27 +232,18 @@ def _begin_round(
         stats.record_failures(0, record)
         partners = sampler.draw_round(source)
         return record, _cached_mask(n, False), partners
-    failed = failures.failure_mask(round_index, n, source)
+    state = None
     if process is not None:
         state = process.round_state(round_index)
-        failed = failed | ~state.active
         sampler = state.sampler
-    if faults is not None:
-        round_faults = faults.draw(round_index, n)
-        failed = failed | round_faults.suppressed
+    failed, round_faults = round_failures(
+        round_index, n, source, failures, state, faults
+    )
+    if round_faults is not None:
         stats.record_faults_injected(round_faults.injected)
     stats.record_failures(int(failed.sum()), record)
     partners = sampler.draw_round(source)
     return record, failed, partners
-
-
-# Public aliases for the engine-agnostic round scaffolding.  The asyncio
-# backend (:mod:`repro.net.runner`) builds its rounds on these, which is how
-# its random-stream consumption — failure masks, then partner draws — stays
-# bit-identical to the simulated engines and the equivalence pins hold.
-begin_run = _begin_run
-begin_round = _begin_round
-finish_run = _finish_run
 
 
 def run_protocol_loop(
@@ -319,10 +299,10 @@ def run_protocol_loop(
         Optional :class:`~repro.faults.FaultInjector`.  Its act-suppression
         kinds (crash-and-restart, message drop) OR into the failure mask;
         failure model, topology process and injector compose freely because
-        each draws from its own stream (see :func:`_begin_round`).
+        each draws from its own stream (see :func:`begin_round`).
     """
     n = protocol.n
-    source, failures, stats, sampler = _begin_run(
+    source, failures, stats, sampler = begin_run(
         protocol, rng, failure_model, metrics, topology, peer_sampling,
         topology_process, faults,
     )
@@ -333,7 +313,7 @@ def run_protocol_loop(
     while not completed and round_index < max_rounds:
         if hook is not None:
             round_started = perf_counter()
-        record, failed, partners = _begin_round(
+        record, failed, partners = begin_round(
             protocol, round_index, n, source, failures, stats, sampler,
             topology_process, faults,
         )
@@ -376,7 +356,7 @@ def run_protocol_loop(
         round_index += 1
         completed = protocol.is_done(round_index)
 
-    return _finish_run(protocol, stats, round_index, completed, max_rounds, raise_on_budget)
+    return finish_run(protocol, stats, round_index, completed, max_rounds, raise_on_budget)
 
 
 def run_protocol_vectorized(
@@ -409,7 +389,7 @@ def run_protocol_vectorized(
             "run it on the loop engine instead"
         )
     n = protocol.n
-    source, failures, stats, sampler = _begin_run(
+    source, failures, stats, sampler = begin_run(
         protocol, rng, failure_model, metrics, topology, peer_sampling,
         topology_process, faults,
     )
@@ -420,7 +400,7 @@ def run_protocol_vectorized(
     while not completed and round_index < max_rounds:
         if hook is not None:
             round_started = perf_counter()
-        record, failed, partners = _begin_round(
+        record, failed, partners = begin_round(
             protocol, round_index, n, source, failures, stats, sampler,
             topology_process, faults,
         )
@@ -466,7 +446,7 @@ def run_protocol_vectorized(
         round_index += 1
         completed = protocol.is_done(round_index)
 
-    return _finish_run(protocol, stats, round_index, completed, max_rounds, raise_on_budget)
+    return finish_run(protocol, stats, round_index, completed, max_rounds, raise_on_budget)
 
 
 def run_protocol(

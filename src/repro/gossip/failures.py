@@ -10,12 +10,16 @@ can still be the target of other nodes' operations.
 from __future__ import annotations
 
 import abc
-from typing import Callable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.utils.rand import RandomSource
+
+if TYPE_CHECKING:
+    from repro.faults.injectors import FaultInjector, RoundFaults
+    from repro.topology.dynamic import RoundState
 
 
 class FailureModel(abc.ABC):
@@ -260,6 +264,38 @@ class FaultInjectorFailures(FailureModel):
 
     def __repr__(self) -> str:
         return f"FaultInjectorFailures({self._injector!r})"
+
+
+def round_failures(
+    round_index: int,
+    n: int,
+    rng: RandomSource,
+    failures: FailureModel,
+    state: Optional["RoundState"] = None,
+    faults: Optional["FaultInjector"] = None,
+) -> Tuple[np.ndarray, Optional["RoundFaults"]]:
+    """Which nodes sit out one round, plus the injector's decision for it.
+
+    A node sits out if its Section-5 failure mask fires, *or* the topology
+    process's round ``state`` marks it departed, *or* the fault injector
+    suppresses it (crash/drop).  The failure mask draws from ``rng``, the
+    consumer's stream; process and injector draw from their own private
+    streams, so composing them never shifts another input's draws.  Both
+    round engines and the :class:`~repro.gossip.network.GossipNetwork`
+    pull surface compose the three inputs here and nowhere else.
+
+    Returns the length-``n`` failed mask and the injector's
+    :class:`~repro.faults.injectors.RoundFaults` (``None`` without one),
+    whose message-level kinds only the pull surface applies.
+    """
+    failed = failures.failure_mask(round_index, n, rng)
+    if state is not None:
+        failed = failed | ~state.active
+    round_faults = None
+    if faults is not None:
+        round_faults = faults.draw(round_index, n)
+        failed = failed | round_faults.suppressed
+    return failed, round_faults
 
 
 def resolve_failure_model(model: Union[None, float, FailureModel]) -> FailureModel:

@@ -24,13 +24,18 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.faults.injectors import FaultInjector
-from repro.gossip.failures import FailureModel, NoFailures, resolve_failure_model
+from repro.faults.injectors import FaultInjector, RoundFaults
+from repro.gossip.failures import (
+    FailureModel,
+    NoFailures,
+    resolve_failure_model,
+    round_failures,
+)
 from repro.gossip.messages import BITS_PER_VALUE, tournament_message_bits
 from repro.gossip.metrics import NetworkMetrics
 from repro.obs.tracer import get_tracer
@@ -107,12 +112,6 @@ class GossipNetwork:
         Seed or :class:`RandomSource` for partner selection and failures.
     failure_model:
         ``None`` (no failures), a float ``mu`` or a :class:`FailureModel`.
-    allow_self_contact:
-        Whether a node may contact itself (probability ``1/n``).  The
-        uniform gossip model in the paper contacts a uniformly random
-        *other* node; excluding self-contacts is the default.  Allowing them
-        changes nothing asymptotically and is occasionally convenient in
-        tests.
     metrics:
         Optionally share a :class:`NetworkMetrics` object with an enclosing
         computation (the exact-quantile driver threads one metrics object
@@ -144,9 +143,20 @@ class GossipNetwork:
         batches), corrupted pulls deliver a perturbed payload, and nodes
         restarting from a ``reset_values`` crash lose their working values
         (reset to the initial values at the next batch boundary).  The
-        injector draws from its own seeded stream, composes with any
-        failure model and topology process (masks OR-ed), and leaves every
-        fault-free stream bit-identical when absent.
+        snapshot ring holds the network's own values only, so a
+        ``pull(values=...)`` override batch neither reads nor feeds it:
+        its delayed pulls arrive on time.  The injector draws from its own
+        seeded stream, composes with any failure model and topology process
+        (masks OR-ed), and leaves every fault-free stream bit-identical
+        when absent.
+
+    Every :meth:`pull` runs one body: draw partners and per-round ok masks
+    (:meth:`_draw`), gather from the start-of-batch snapshot, overlay the
+    injector's message-level faults (:meth:`_apply_faults`), record the
+    ``k`` rounds in one accounting call, and NaN out the failed pulls.
+    The per-round ok mask is :func:`~repro.gossip.failures.round_failures`,
+    the same composition the round engines use.  When nothing can fail the
+    body draws no masks and returns a broadcast all-True ``ok`` view.
     """
 
     def __init__(
@@ -154,7 +164,6 @@ class GossipNetwork:
         values: Union[Sequence[float], np.ndarray],
         rng: Union[None, int, RandomSource] = None,
         failure_model: Union[None, float, FailureModel] = None,
-        allow_self_contact: bool = False,
         metrics: Optional[NetworkMetrics] = None,
         keep_history: bool = True,
         topology: Optional[Topology] = None,
@@ -180,7 +189,6 @@ class GossipNetwork:
         self._lanes = 1 if array.ndim == 1 else array.shape[1]
         self._rng = rng if isinstance(rng, RandomSource) else RandomSource(rng)
         self._failures = resolve_failure_model(failure_model)
-        self._allow_self = bool(allow_self_contact)
         self._topology = topology
         if topology_process is not None:
             if topology is not None:
@@ -195,11 +203,6 @@ class GossipNetwork:
                     "peer_sampling is owned by the topology process; "
                     "construct the process with the desired strategy instead"
                 )
-            if self._allow_self:
-                raise ConfigurationError(
-                    "allow_self_contact has no effect under a topology "
-                    "process; its samplers always exclude self-contacts"
-                )
         if faults is not None and not isinstance(faults, FaultInjector):
             raise ConfigurationError(
                 f"faults must be a FaultInjector, got {faults!r}"
@@ -212,10 +215,7 @@ class GossipNetwork:
         )
         self._process = resolve_topology_process(topology_process, self._n)
         self._sampler = None if self._process is not None else resolve_peer_sampler(
-            topology,
-            sampling=peer_sampling,
-            n=self._n,
-            allow_self=self._allow_self,
+            topology, sampling=peer_sampling, n=self._n
         )
         self.metrics = metrics if metrics is not None else NetworkMetrics(
             keep_history=keep_history
@@ -323,18 +323,11 @@ class GossipNetwork:
         """The attached topology process, or ``None`` for a static graph."""
         return self._process
 
-    # -- partner selection --------------------------------------------------------
-    def _sample_partners(self, k: int) -> np.ndarray:
-        # The sampler owns the draw; the default UniformSampler block draw
-        # is verbatim the historical code, so seeded runs are unchanged.
-        return self._sampler.draw_block(self._rng, k)
-
     # -- the pull surface ---------------------------------------------------------
     def pull(
         self,
         k: int = 1,
         label: str = "pull",
-        payload_bits: Optional[int] = None,
         values: Optional[np.ndarray] = None,
     ) -> PullBatch:
         """Execute ``k`` pull rounds and return the pulled snapshot values.
@@ -342,8 +335,10 @@ class GossipNetwork:
         Each of the ``k`` columns corresponds to one synchronous round in
         which every node pulls the (start-of-batch) value of one uniformly
         random node — every lane reads from the same partner.  Nodes that
-        fail in a round (per the failure model) have ``ok = False`` for
-        that round and receive no value (NaN).
+        sit out a round (see :func:`~repro.gossip.failures.round_failures`)
+        have ``ok = False`` for that round and receive no value (NaN).
+        ``values`` pulls from an override array of the network's shape
+        instead of the network's own values.
         """
         if k <= 0:
             raise ConfigurationError("k must be positive")
@@ -354,7 +349,7 @@ class GossipNetwork:
             raise ConfigurationError(
                 f"values override must have shape {self._values.shape}"
             )
-        bits = self._message_bits if payload_bits is None else int(payload_bits)
+        bits = self._message_bits
         tracer = get_tracer()
         if tracer.active:
             # One event per pull *batch* (k rounds), not per round: the
@@ -369,41 +364,76 @@ class GossipNetwork:
                 round_start=self.metrics.rounds,
             )
 
-        if self._faults is not None:
-            return self._pull_with_faults(k, label, bits, source)
-        if self._process is not None:
-            return self._pull_dynamic(k, label, bits, source)
-        partners = self._sample_partners(k)
+        partners, ok, round_faults = self._draw(k)
         pulled = self._gather(source, partners)
-        if isinstance(self._failures, NoFailures):
-            # Failure-free fast path: no per-round mask draws, no NaN
-            # masking, one batched accounting call for all k rounds, and a
-            # zero-allocation broadcast view for the all-True ok mask.
-            ok = np.broadcast_to(np.True_, (self._n, k))
+        if ok is None:
+            # Failure-free fast path: one batched accounting call for all k
+            # rounds and a zero-allocation broadcast view for the all-True
+            # ok mask.
             self.metrics.record_rounds_batch(
                 k, label=label, messages=self._n, bits_each=bits
             )
+            ok = np.broadcast_to(np.True_, (self._n, k))
             return PullBatch(partners=partners, values=pulled, ok=ok)
-        # Failure masks are drawn per round, in round order, so the random
-        # stream is unchanged from the historical per-column loop; only the
-        # metrics recording is batched.
-        base = self.metrics.rounds
-        ok = np.empty((self._n, k), dtype=bool)
-        for column in range(k):
-            failed = self._failures.failure_mask(base + column, self._n, self._rng)
-            ok[:, column] = ~failed
         successes = ok.sum(axis=0)
+        messages = successes
+        if round_faults is not None:
+            pulled, duplicates = self._apply_faults(
+                round_faults, source, partners, pulled, ok, own=values is None
+            )
+            messages = successes + duplicates
         # one request + one response per successful pull; we charge the
         # response (which carries the values) at the protocol's bit cost.
         self.metrics.record_rounds_batch(
             k,
             label=label,
-            messages=successes,
+            messages=messages,
             bits_each=bits,
             failures=self._n - successes,
         )
         pulled = self._mask_failed(pulled, ok)
         return PullBatch(partners=partners, values=pulled, ok=ok)
+
+    def _draw(
+        self, k: int
+    ) -> Tuple[np.ndarray, Optional[np.ndarray], Optional[List[RoundFaults]]]:
+        """Partners, ok mask and injector decisions for the next ``k`` rounds.
+
+        A static sampler draws the whole ``(n, k)`` partner block at once;
+        under a topology process each column asks for that round's state
+        and draws its partners from the round's sampler (active targets
+        only).  The process round counter is the network's global round
+        count, so interleaved pull batches see one consistent schedule.
+        The per-round failed masks come from
+        :func:`~repro.gossip.failures.round_failures` in round order, so
+        the engine stream sees partners and masks in the historical order.
+        ``ok`` is ``None`` when no pull can fail (no mask draws at all);
+        ``round_faults`` is ``None`` without an injector.
+        """
+        if not self.can_fail:
+            return self._sampler.draw_block(self._rng, k), None, None
+        n = self._n
+        base = self.metrics.rounds
+        if self._process is None:
+            partners = self._sampler.draw_block(self._rng, k)
+        else:
+            partners = np.empty((n, k), dtype=np.int64)
+        ok = np.empty((n, k), dtype=bool)
+        round_faults: Optional[List[RoundFaults]] = (
+            None if self._faults is None else []
+        )
+        state = None
+        for column in range(k):
+            if self._process is not None:
+                state = self._process.round_state(base + column)
+                partners[:, column] = state.sampler.draw_round(self._rng)
+            failed, faults = round_failures(
+                base + column, n, self._rng, self._failures, state, self._faults
+            )
+            ok[:, column] = ~failed
+            if round_faults is not None:
+                round_faults.append(faults)
+        return partners, ok, round_faults
 
     def _gather(self, source: np.ndarray, partners: np.ndarray) -> np.ndarray:
         """Gather the pulled values: ``(n, k)`` or ``(n, k, L)``.
@@ -439,148 +469,63 @@ class GossipNetwork:
         np.copyto(pulled, np.nan, where=failed)
         return pulled
 
-    def _pull_dynamic(
-        self, k: int, label: str, bits: int, source: np.ndarray
-    ) -> PullBatch:
-        """Pull rounds under a topology process: per-column partner draws.
+    def _apply_faults(
+        self,
+        round_faults: List[RoundFaults],
+        source: np.ndarray,
+        partners: np.ndarray,
+        pulled: np.ndarray,
+        ok: np.ndarray,
+        own: bool,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Overlay the injector's message-level kinds on a gathered batch.
 
-        Each column asks the process for that round's state first, so the
-        partner matrix reflects the evolving graph; departed pullers get
-        ``ok = False`` exactly like failed ones.  Values are still read from
-        the start-of-batch snapshot (the paper's within-iteration
-        semantics).  The process round counter is the network's global
-        round count, so interleaved pull batches see one consistent
-        schedule; partner and failure draws stay per round while the
-        metrics are recorded in one batch at the end.
+        Delayed pulls gather from the bounded ring of past value snapshots,
+        corrupted pulls scale the delivered payload, and nodes restarting
+        from a state-loss crash get their working values reset to their
+        initial values (visible from the next batch's snapshot on).  The
+        ring holds the network's own values only: an override batch
+        (``own=False``) pulls another stream, so it neither reads nor feeds
+        the ring and its delayed pulls arrive on time.  Returns the
+        delivered payloads and the per-round count of duplicate deliveries,
+        which are charged as extra messages.
         """
-        partners = np.empty((self._n, k), dtype=np.int64)
-        ok = np.ones((self._n, k), dtype=bool)
-        base = self.metrics.rounds
-        for column in range(k):
-            state = self._process.round_state(base + column)
-            partners[:, column] = state.sampler.draw_round(self._rng)
-            failed = self._failures.failure_mask(base + column, self._n, self._rng)
-            failed = failed | ~state.active
-            ok[:, column] = ~failed
-        successes = ok.sum(axis=0)
-        self.metrics.record_rounds_batch(
-            k,
-            label=label,
-            messages=successes,
-            bits_each=bits,
-            failures=self._n - successes,
-        )
-        pulled = self._mask_failed(self._gather(source, partners), ok)
-        return PullBatch(partners=partners, values=pulled, ok=ok)
-
-    def _pull_with_faults(
-        self, k: int, label: str, bits: int, source: np.ndarray
-    ) -> PullBatch:
-        """Pull rounds with an attached fault injector.
-
-        Partner and failure-mask draws consume the engine stream exactly
-        like the fault-free paths (static block draw or per-round dynamic
-        draws); the injector's per-round decision comes from its *private*
-        stream and is overlaid on top: crash/drop suppress pulls, failure
-        masks and the process's active mask OR in as usual, duplicates are
-        charged as extra delivered messages, delayed pulls gather from the
-        bounded snapshot ring, and corrupted pulls scale the delivered
-        payload.  Nodes restarting from a state-loss crash get their
-        working values reset to their initial values (visible from the
-        next batch's snapshot on).
-        """
-        n = self._n
-        base = self.metrics.rounds
-        ok = np.empty((n, k), dtype=bool)
-        if self._process is not None:
-            partners = np.empty((n, k), dtype=np.int64)
-            for column in range(k):
-                state = self._process.round_state(base + column)
-                partners[:, column] = state.sampler.draw_round(self._rng)
-                failed = self._failures.failure_mask(
-                    base + column, n, self._rng
-                )
-                ok[:, column] = ~(failed | ~state.active)
-        else:
-            partners = self._sample_partners(k)
-            for column in range(k):
-                failed = self._failures.failure_mask(
-                    base + column, n, self._rng
-                )
-                ok[:, column] = ~failed
-
-        delays = np.zeros((n, k), dtype=np.int64)
-        corruption = np.ones((n, k))
-        duplicated = np.zeros((n, k), dtype=bool)
-        injected = 0
-        reset_nodes = np.zeros(n, dtype=bool)
-        for column in range(k):
-            round_faults = self._faults.draw(base + column, n)
-            ok[:, column] &= ~round_faults.suppressed
-            duplicated[:, column] = round_faults.duplicated
-            delays[:, column] = round_faults.delay
-            corruption[:, column] = round_faults.corruption
-            if self._faults.reset_on_restart:
-                reset_nodes |= round_faults.restarted
-            injected += round_faults.injected
-
-        pulled = self._gather(source, partners)
-        if self._delay_history is not None and len(self._delay_history):
-            available = len(self._delay_history)
+        delays = np.stack([rf.delay for rf in round_faults], axis=1)
+        ring = self._delay_history if own else None
+        if ring:
+            available = len(ring)
             for d in np.unique(delays[delays > 0]):
                 # A delay deeper than the ring serves the oldest snapshot
                 # we still hold (the delay bound is honest either way).
-                snap = self._delay_history[-int(min(d, available))]
+                snap = ring[-int(min(d, available))]
                 stale = self._gather(snap, partners)
                 mask = delays == d
                 if pulled.ndim == 3:
                     mask = mask[:, :, None]
                 pulled = np.where(mask, stale, pulled)
+        corruption = np.stack([rf.corruption for rf in round_faults], axis=1)
         if np.any(corruption != 1.0):
             factor = corruption if pulled.ndim == 2 else corruption[:, :, None]
             pulled = (pulled * factor).astype(self._dtype, copy=False)
-
-        successes = ok.sum(axis=0)
-        # Duplicates re-deliver a message that actually arrived: charge one
-        # extra message at the same bit cost, same round.
-        dup_counts = (duplicated & ok).sum(axis=0)
-        self.metrics.record_rounds_batch(
-            k,
-            label=label,
-            messages=successes + dup_counts,
-            bits_each=bits,
-            failures=n - successes,
-        )
-        self.metrics.record_faults_injected(injected)
-
-        if self._delay_history is not None:
+        if ring is not None:
             # The batch's outgoing snapshot becomes "one window ago".
-            self._delay_history.append(source.copy())
-        if np.any(reset_nodes):
+            ring.append(source.copy())
+        reset_nodes = np.logical_or.reduce([rf.restarted for rf in round_faults])
+        if self._faults.reset_on_restart and np.any(reset_nodes):
             # Crash-and-restart state loss, applied at the batch boundary:
             # the restarted node rejoins the protocol with its initial
             # value(s), not the working state it crashed with.
             self._values[reset_nodes] = self._initial_values[reset_nodes]
-
-        pulled = self._mask_failed(pulled, ok)
-        return PullBatch(partners=partners, values=pulled, ok=ok)
+        self.metrics.record_faults_injected(
+            sum(rf.injected for rf in round_faults)
+        )
+        duplicated = np.stack([rf.duplicated for rf in round_faults], axis=1)
+        return pulled, (duplicated & ok).sum(axis=0)
 
     @property
     def faults(self) -> Optional[FaultInjector]:
         """The attached fault injector, or ``None``."""
         return self._faults
-
-    def pull_values(self, k: int = 1, label: str = "pull") -> np.ndarray:
-        """Convenience wrapper returning only the pulled value array.
-
-        Only valid under :class:`NoFailures`; raises otherwise because the
-        caller would have no way to see which pulls failed.
-        """
-        if not isinstance(self._failures, NoFailures):
-            raise ConfigurationError(
-                "pull_values() hides failures; use pull() with a failure model"
-            )
-        return self.pull(k=k, label=label).values
 
     def charge_rounds(self, count: int, label: str = "charged") -> None:
         """Account for ``count`` rounds executed by an external sub-protocol."""

@@ -45,7 +45,6 @@ from repro.topology.diagnostics import (
     degree_stats,
     estimate_spectral_gap,
     is_connected,
-    summarize,
 )
 
 __all__ = [
@@ -77,5 +76,4 @@ __all__ = [
     "degree_stats",
     "estimate_spectral_gap",
     "is_connected",
-    "summarize",
 ]

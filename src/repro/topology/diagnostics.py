@@ -175,10 +175,3 @@ def estimate_spectral_gap(
         x = y
     return float(1.0 - lam)
 
-
-def summarize(topology: Topology, rng: Union[None, int, RandomSource] = None) -> Dict[str, float]:
-    """One-call diagnostics bundle used by experiments and benchmarks."""
-    stats = degree_stats(topology)
-    stats["connected"] = float(is_connected(topology))
-    stats["spectral_gap"] = estimate_spectral_gap(topology, rng=rng)
-    return stats

@@ -98,26 +98,20 @@ class PeerSampler(abc.ABC):
 class UniformSampler(PeerSampler):
     """Uniform gossip on the complete graph (the paper's model).
 
-    ``allow_self`` only affects :meth:`draw_block` (the
-    :class:`~repro.gossip.network.GossipNetwork` path, which historically
-    exposes the option); the engine path :meth:`draw_round` always excludes
-    self-contacts, as it always has.
+    Both draws exclude self-contacts: :meth:`draw_round` is the engine
+    path's per-round draw, :meth:`draw_block` the
+    :class:`~repro.gossip.network.GossipNetwork` path's ``(n, k)`` block.
     """
-
-    def __init__(self, n: int, allow_self: bool = False) -> None:
-        super().__init__(n)
-        self._allow_self = bool(allow_self)
 
     def draw_round(self, source: RandomSource) -> np.ndarray:
         return draw_uniform_round_partners(source, self.n)
 
     def draw_block(self, source: RandomSource, k: int) -> np.ndarray:
-        # Verbatim the historical GossipNetwork._sample_partners: one
-        # (n, k) block draw, then re-draws of self-contacts.
+        # Verbatim the historical GossipNetwork partner draw: one (n, k)
+        # block draw, then re-draws of self-contacts.
         partners = source.uniform_partners(self.n, k)
-        if not self._allow_self:
-            own = np.arange(self.n)[:, None]
-            resample_forbidden_targets(source, partners, own, self.n)
+        own = np.arange(self.n)[:, None]
+        resample_forbidden_targets(source, partners, own, self.n)
         return partners
 
 
@@ -212,7 +206,6 @@ def resolve_peer_sampler(
     topology: Optional[Topology],
     sampling: str = "uniform",
     n: Optional[int] = None,
-    allow_self: bool = False,
 ) -> PeerSampler:
     """Build the sampler for a run.
 
@@ -241,7 +234,7 @@ def resolve_peer_sampler(
         size = topology.n if topology is not None else n
         if size is None:
             raise ConfigurationError("n is required when no topology is given")
-        return UniformSampler(size, allow_self=allow_self)
+        return UniformSampler(size)
     if sampling == "round-robin":
         return RoundRobinSampler(topology)
     return NeighborSampler(topology)

@@ -32,9 +32,15 @@ def test_ablations_rows():
     by_key = {(row["ablation"], row["setting"]): row for row in rows}
     paper = by_key[("phase-one", "phase I + phase II (paper)")]
     no_phase1 = by_key[("phase-one", "phase II only (ablated)")]
+    # the paper's configuration meets the eps guarantee
+    assert paper["mean_error"] <= 0.15 + 1e-9
     # skipping Phase I collapses the estimate towards the median
     assert no_phase1["mean_error"] > paper["mean_error"]
     assert no_phase1["mean_error"] > 0.1
+    # the truncated last iteration is never worse than forcing delta = 1
+    truncated = by_key[("last-iteration-truncation", "delta-truncated (paper)")]
+    forced = by_key[("last-iteration-truncation", "delta=1 (ablated)")]
+    assert truncated["mean_error"] <= forced["mean_error"] + 0.05
     # the K = 15 vote is at least as reliable as a single sample
     assert (
         by_key[("final-vote-size", "K=15")]["node_success_fraction"]
@@ -69,6 +75,9 @@ def test_lower_bound_rows():
     assert len(rows) == 2
     for row in rows:
         assert row["rounds_to_all_informed"] >= row["theorem_bound"] - 1
+    # spreading to every node takes longer as eps shrinks
+    by_eps = {row["eps"]: row["rounds_to_all_informed"] for row in rows}
+    assert by_eps[0.05] >= by_eps[0.1]
 
 
 def test_robustness_rows():
@@ -106,15 +115,27 @@ def test_baselines_compare_rows():
     rows = baselines_compare.run(n=256, eps=0.15, phi=0.5, trials=1, seed=7)
     by_name = {row["algorithm"]: row for row in rows}
     assert set(by_name) == {"tournament", "sampling", "doubling", "compacted-doubling"}
-    assert by_name["sampling"]["rounds"] > by_name["tournament"]["rounds"]
-    assert by_name["doubling"]["max_message_bits"] > by_name["tournament"]["max_message_bits"]
+    tournament = by_name["tournament"]
+    # the tournament needs far fewer rounds than sampling at the same eps...
+    assert by_name["sampling"]["rounds"] > 5 * tournament["rounds"]
+    # ...and far smaller messages than doubling at a comparable round count
+    assert by_name["doubling"]["max_message_bits"] > 20 * tournament["max_message_bits"]
+    assert (
+        by_name["compacted-doubling"]["max_message_bits"]
+        < by_name["doubling"]["max_message_bits"]
+    )
+    assert all(row["mean_error"] <= 0.15 + 0.02 for row in rows)
 
 
 def test_message_size_rows():
-    rows = message_size.run(sizes=(256,), eps_values=(0.1,), seed=8)
-    assert len(rows) == 1
-    row = rows[0]
-    assert row["tournament_bits"] < row["compacted_bits"] < row["doubling_bits"]
+    rows = message_size.run(sizes=(256,), eps_values=(0.1, 0.05), seed=8)
+    assert len(rows) == 2
+    for row in rows:
+        assert row["tournament_bits"] < row["compacted_bits"] < row["doubling_bits"]
+    # doubling's message size grows quadratically in 1/eps, the tournament's is flat
+    coarse, fine = sorted(rows, key=lambda row: -row["eps"])
+    assert fine["doubling_bits"] >= 3 * coarse["doubling_bits"]
+    assert fine["tournament_bits"] == coarse["tournament_bits"]
 
 
 def test_message_size_formula_only_mode():

@@ -242,6 +242,27 @@ def test_network_delay_serves_snapshot_ring():
     assert np.all(delayed < 1000.0)
 
 
+def test_network_delay_never_serves_override_pulls_from_the_ring():
+    """The ring holds the network's own values: a values= override batch
+    gets only override entries, and does not feed the ring either."""
+    values = np.arange(64, dtype=float) + 1000.0
+    net = GossipNetwork(
+        values, rng=1,
+        faults=FaultInjector(MessageDelay(1.0, max_delay=1), rng=2),
+    )
+    net.pull(2)
+    override = np.arange(64, dtype=float)
+    batch = net.pull(1, values=override)
+    assert np.array_equal(
+        batch.values[batch.ok], override[batch.partners][batch.ok]
+    )
+    # The next own-value pull is served from the first batch's snapshot,
+    # not from the override.
+    net.set_values(values + 5000.0)
+    own = net.pull(1)
+    assert np.array_equal(own.values[own.ok], values[own.partners][own.ok])
+
+
 def test_network_corruption_scales_payload_not_sender_state():
     values = np.full(32, 10.0)
     net = GossipNetwork(

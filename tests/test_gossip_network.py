@@ -67,19 +67,6 @@ def test_pull_with_failures_marks_ok_false_and_nan():
     assert net.metrics.failed_node_rounds == failed.sum()
 
 
-def test_pull_values_requires_no_failure_model():
-    net = make_network(32, failure_model=0.2)
-    with pytest.raises(ConfigurationError):
-        net.pull_values(1)
-
-
-def test_pull_values_shortcut():
-    net = make_network(32)
-    values = net.pull_values(2)
-    assert values.shape == (32, 2)
-    assert not np.isnan(values).any()
-
-
 def test_set_values_and_snapshot():
     net = make_network(16)
     snap = net.snapshot()

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.gossip.engine import draw_round_partners, run_protocol
+from repro.gossip.engine import run_protocol
 from repro.gossip.network import GossipNetwork
+from repro.topology.sampler import draw_uniform_round_partners
 from repro.topology import (
     NeighborSampler,
     RoundRobinSampler,
@@ -174,7 +175,7 @@ def test_round_robin_contacts_every_neighbor_once_per_cycle():
 
 def test_uniform_sampler_matches_the_historical_engine_stream():
     ours = UniformSampler(97).draw_round(RandomSource(13))
-    theirs = draw_round_partners(RandomSource(13), 97)
+    theirs = draw_uniform_round_partners(RandomSource(13), 97)
     assert np.array_equal(ours, theirs)
 
 
