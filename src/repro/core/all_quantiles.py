@@ -270,8 +270,9 @@ def estimate_grid_subset(
     for start in range(0, targets.size, max_lanes):
         chunk = targets[start:start + max_lanes]
         lanes = chunk.size
-        # Every lane starts from the same value multiset; the network copies
-        # the broadcast view into its own (n, lanes) matrix.
+        # Every lane starts from the same value multiset: a zero-stride
+        # view that the network's one defensive copy writes straight into
+        # its column-major (n, lanes) matrix.
         stacked = np.broadcast_to(array[:, None], (n, lanes))
         network = GossipNetwork(
             stacked,

@@ -309,8 +309,12 @@ def _exact_quantile_impl(
         rounds = max(pair) by construction and every round's messages are
         recorded in that round (no out-of-round traffic merge).
         """
+        # Both lanes start from the same keys: a zero-stride view that the
+        # network copies straight into its column-major (n, 2) matrix.  The
+        # pair's outputs come back column-major too, so the extrema
+        # spreading below receives two contiguous columns.
         working = GossipNetwork(
-            np.stack([node_keys, node_keys], axis=1),
+            np.broadcast_to(node_keys[:, None], (n, 2)),
             rng=source.child(),
             failure_model=failures,
             metrics=metrics,

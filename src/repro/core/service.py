@@ -133,7 +133,8 @@ class QuantileService:
     Parameters
     ----------
     values:
-        One value per node.
+        One value per node.  NaN is rejected (it has no rank); ±inf is
+        accepted.
     eps:
         Grid spacing of the underlying all-quantiles pass: answers from the
         grid carry at most ``eps / 2 + query_accuracy`` rank error inside
@@ -202,6 +203,9 @@ class QuantileService:
         source = rng if isinstance(rng, RandomSource) else RandomSource(rng)
         self._source = source
         self._array = np.asarray(values, dtype=float)
+        if np.isnan(self._array).any():
+            # NaN has no rank: it would silently poison the grid answers.
+            raise ConfigurationError("values must not contain NaN")
         if churn_process is not None:
             if not isinstance(churn_process, ChurnProcess):
                 raise ConfigurationError(
@@ -438,13 +442,17 @@ class QuantileService:
 
         The grid answers are *not* recomputed — the drift model prices the
         divergence and the epoch machinery decides when a rebuild pays.
+        A NaN ``value`` is rejected (it has no rank); ±inf is accepted.
         """
         if not 0 <= int(index) < self._array.size:
             raise ConfigurationError(
                 f"index must be in [0, {self._array.size}), got {index}"
             )
-        self._array[int(index)] = float(value)
-        self._pending_updates.append(float(value))
+        value = float(value)
+        if math.isnan(value):
+            raise ConfigurationError("value must not be NaN")
+        self._array[int(index)] = value
+        self._pending_updates.append(value)
         self._drift_cache = None
         if self._auto_rebuild:
             return self.maybe_rebuild()
@@ -675,10 +683,16 @@ class QuantileService:
 
         Uses the Corollary-1.5 bracket: the midpoint implied by how many
         grid answers lie below ``value``, accurate to ``eps`` plus the
-        per-lane query accuracy.
+        per-lane query accuracy.  A NaN ``value`` is rejected (it has no
+        rank); ±inf lands in the bottom or top bracket.
         """
         started = perf_counter()
-        below = int(np.count_nonzero(self._grid_answers < float(value)))
+        value = float(value)
+        if math.isnan(value):
+            # Every comparison with NaN is False, which would answer the
+            # bottom bracket as if NaN were below every grid value.
+            raise ConfigurationError("value must not be NaN")
+        below = int(np.count_nonzero(self._grid_answers < value))
         estimate = float(np.clip((below + 0.5) * self._eps, 0.0, 1.0))
         accuracy = self._eps + self._query_accuracy
         # Rank-of uses the whole ladder, so the *worst* lane drift widens
@@ -690,7 +704,7 @@ class QuantileService:
             accuracy += worst
         answer = QueryAnswer(
             phi=estimate,
-            value=float(value),
+            value=value,
             source="grid",
             accuracy=accuracy,
             degraded=stale,

@@ -17,13 +17,18 @@ idle, rounds = max over lanes) and the final vote is one shared
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.core.results import PhaseIterationStats, TournamentPhaseResult
 from repro.core.schedules import ThreeTournamentSchedule, three_tournament_schedule
-from repro.core.two_tournament import _lane_view, normalize_schedules, per_lane
+from repro.core.two_tournament import (
+    _lane_view,
+    fill_failed_pulls,
+    normalize_schedules,
+    per_lane,
+)
 from repro.exceptions import ConfigurationError
 from repro.gossip.network import GossipNetwork
 from repro.obs.tracer import get_tracer
@@ -43,17 +48,22 @@ def median_band_thresholds(values: np.ndarray, eps: float) -> Tuple[float, float
 
 
 def _median_of_three(
-    first: np.ndarray, second: np.ndarray, third: np.ndarray
+    first: np.ndarray,
+    second: np.ndarray,
+    third: np.ndarray,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Element-wise median of three arrays without sorting.
 
     ``max(min(a, b), min(max(a, b), c))`` selects exactly the element a
-    3-sort would put in the middle — five element-wise passes instead of a
-    per-row sort, and bit-identical output values.
+    3-sort would put in the middle — four element-wise passes instead of a
+    per-row sort, and bit-identical output values.  ``out`` receives the
+    medians when given (it doubles as the ``min(a, b)`` scratch).
     """
-    lo = np.minimum(first, second)
+    lo = np.minimum(first, second, out=out)
     hi = np.maximum(first, second)
-    return np.maximum(lo, np.minimum(hi, third))
+    np.minimum(hi, third, out=hi)
+    return np.maximum(lo, hi, out=lo)
 
 
 def run_three_tournament(
@@ -110,20 +120,25 @@ def run_three_tournament(
         for step in range(num_iterations):
             current = network.snapshot() if can_fail else None
             batch = network.pull(3, label="3-tournament")
-            vals = batch.values
-            if can_fail:
-                mask = batch.ok if single else batch.ok[:, :, None]
-                fallback = current[:, None] if single else current[:, None, :]
-                vals = np.where(mask, vals, fallback)
-            vals = _lane_view(vals, single)                 # (n, 3, L)
+            vals = _lane_view(
+                fill_failed_pulls(batch, current, single), single
+            )                                               # (n, 3, L)
             live = _lane_view(network.values, single)       # (n, L)
-            medians = _median_of_three(vals[:, 0], vals[:, 1], vals[:, 2])
+            # Each lane's medians go straight into its contiguous column of
+            # a lanes-first array (empty_like keeps the network's layout),
+            # which the network adopts as is; a lane whose schedule is
+            # exhausted copies its old column instead.  Lane by lane, every
+            # pass stays in cache.
             new_values = np.empty_like(live)
             for lane, lane_schedule in enumerate(schedules):
+                column = new_values[:, lane]
                 if step >= lane_schedule.num_iterations:
-                    new_values[:, lane] = live[:, lane]      # lane idles
+                    column[:] = live[:, lane]                # lane idles
                 else:
-                    new_values[:, lane] = medians[:, lane]
+                    _median_of_three(
+                        vals[:, 0, lane], vals[:, 1, lane], vals[:, 2, lane],
+                        out=column,
+                    )
             updated = new_values[:, 0] if single else new_values
             network.set_values(updated, copy=False)
             if track_band:
@@ -146,24 +161,22 @@ def run_three_tournament(
         # batch, per-lane medians.
         current = network.snapshot() if can_fail else None
         batch = network.pull(final_samples, label="3-tournament-vote")
-        vals = batch.values
-        if can_fail:
-            mask = batch.ok if single else batch.ok[:, :, None]
-            fallback = current[:, None] if single else current[:, None, :]
-            vals = np.where(mask, vals, fallback)
+        vals = _lane_view(
+            fill_failed_pulls(batch, current, single), single
+        )                                                   # (n, K, L)
         # partition places the middle order statistic exactly where a full
-        # sort would; the selected values are identical.  Multi-lane votes
-        # partition lane by lane so each pass runs over a contiguous (n, K)
-        # block.
+        # sort would; the selected values are identical.  Votes partition
+        # lane by lane, in place, so each pass runs over one contiguous
+        # (n, K) block of the freshly gathered lanes-first pull and writes
+        # one contiguous column of the column-major outputs.
         mid = final_samples // 2
-        if vals.ndim == 2:
-            outputs = np.partition(vals, mid, axis=1)[:, mid]
-        else:
-            outputs = np.empty((vals.shape[0], vals.shape[2]), dtype=vals.dtype)
-            for lane in range(vals.shape[2]):
-                outputs[:, lane] = np.partition(
-                    vals[:, :, lane], mid, axis=1
-                )[:, mid]
+        outputs = np.empty_like(_lane_view(network.values, single))
+        for lane in range(vals.shape[2]):
+            sample = vals[:, :, lane]
+            sample.partition(mid, axis=1)
+            outputs[:, lane] = sample[:, mid]
+        if single:
+            outputs = outputs[:, 0]
 
     return TournamentPhaseResult(
         final_values=outputs,

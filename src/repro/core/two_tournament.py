@@ -19,14 +19,14 @@ values) while the longer lanes finish, so the fused phase executes
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.core.results import PhaseIterationStats, TournamentPhaseResult
 from repro.core.schedules import TwoTournamentSchedule, two_tournament_schedule
 from repro.exceptions import ConfigurationError
-from repro.gossip.network import GossipNetwork
+from repro.gossip.network import GossipNetwork, PullBatch
 from repro.obs.tracer import get_tracer
 from repro.utils.stats import empirical_quantile
 
@@ -72,6 +72,25 @@ def _lane_view(array: np.ndarray, single: bool) -> np.ndarray:
     true multi-lane network (including ``(n, 1)``) pass through untouched.
     """
     return array[..., None] if single else array
+
+
+def fill_failed_pulls(
+    batch: PullBatch, current: Optional[np.ndarray], single: bool
+) -> np.ndarray:
+    """The batch's pulled values with failed pulls replaced by ``current``.
+
+    ``current`` is the pre-iteration snapshot (a failed pull leaves the
+    node's own value in play), or ``None`` when no pull can fail.  The
+    fallback is written into the freshly gathered batch in place, once for
+    every lane, so the pull keeps its lanes-first backing block.  Shared
+    by both tournament phases.
+    """
+    vals = batch.values
+    if current is not None:
+        failed = ~batch.ok if single else ~batch.ok[:, :, None]
+        fallback = current[:, None] if single else current[:, None, :]
+        np.copyto(vals, fallback, where=failed)
+    return vals
 
 
 def normalize_schedules(schedule, lanes: int, schedule_class, build) -> List:
@@ -152,8 +171,12 @@ def run_two_tournament(
             # snapshot copy is skipped entirely.
             current = network.snapshot() if can_fail else None
             batch = network.pull(2, label="2-tournament")
-            vals = _lane_view(batch.values, single)         # (n, 2, L)
+            vals = _lane_view(
+                fill_failed_pulls(batch, current, single), single
+            )                                               # (n, 2, L)
             live = _lane_view(network.values, single)       # (n, L)
+            # empty_like keeps the network's lanes-first layout: every
+            # lane's result is one contiguous column, adopted as is.
             new_values = np.empty_like(live)
             for lane, lane_schedule in enumerate(schedules):
                 if step >= lane_schedule.num_iterations:
@@ -162,18 +185,14 @@ def run_two_tournament(
                 iteration = lane_schedule.iterations[step]
                 first = vals[:, 0, lane]
                 second = vals[:, 1, lane]
-                if can_fail:
-                    fallback = _lane_view(current, single)[:, lane]
-                    first = np.where(batch.ok[:, 0], first, fallback)
-                    second = np.where(batch.ok[:, 1], second, fallback)
-                if lane_schedule.direction == "min":
-                    winners = np.minimum(first, second)
-                else:
-                    winners = np.maximum(first, second)
-
+                pick = (
+                    np.minimum if lane_schedule.direction == "min"
+                    else np.maximum
+                )
                 if iteration.delta >= 1.0:
-                    new_values[:, lane] = winners
+                    pick(first, second, out=new_values[:, lane])
                 else:
+                    winners = pick(first, second)
                     coin = network.rng.random(network.n)
                     do_tournament = coin < iteration.delta
                     # With probability 1 - delta the node copies a single

@@ -18,6 +18,14 @@ O(log n)-bit message carrying both working values.  Each round is recorded
 once, with the per-lane payload bits folded into the message size.
 ``L = 1`` (a 1-d value array) is bit-identical to the historical
 single-lane partner and value streams.
+
+The ``(n, L)`` matrix is stored lanes-first: column-major (Fortran order),
+so every lane is one contiguous column.  A pull gathers each lane straight
+from its column without a per-lane copy, and the tournament phases write
+their per-lane results back as contiguous columns.  Every array the network
+creates or adopts — the constructor's copy, :attr:`initial_values`,
+:meth:`set_values`, :meth:`snapshot`, :meth:`reset` and the delay ring —
+keeps that order; only memory layout changes, never a value or a stream.
 """
 
 from __future__ import annotations
@@ -173,7 +181,7 @@ class GossipNetwork:
         faults: Optional[FaultInjector] = None,
     ) -> None:
         self._dtype = resolve_value_dtype(dtype)
-        array = np.asarray(values, dtype=self._dtype).copy()
+        array = np.array(values, dtype=self._dtype, order="F")
         if array.ndim not in (1, 2):
             raise ConfigurationError(
                 "values must be one-dimensional (single lane) or an "
@@ -184,7 +192,7 @@ class GossipNetwork:
         if array.shape[0] < 2:
             raise ConfigurationError("a gossip network needs at least 2 nodes")
         self._values = array
-        self._initial_values = array.copy()
+        self._initial_values = array.copy(order="F")
         self._n = array.shape[0]
         self._lanes = 1 if array.ndim == 1 else array.shape[1]
         self._rng = rng if isinstance(rng, RandomSource) else RandomSource(rng)
@@ -245,7 +253,11 @@ class GossipNetwork:
 
     @property
     def values(self) -> np.ndarray:
-        """The current value of every node (live view; treat as read-only)."""
+        """The current value of every node (live view; treat as read-only).
+
+        Multi-lane values are column-major: ``values[:, lane]`` is a
+        contiguous column.
+        """
         return self._values
 
     @property
@@ -282,8 +294,8 @@ class GossipNetwork:
         return self.metrics.rounds
 
     def snapshot(self) -> np.ndarray:
-        """A copy of the current values."""
-        return self._values.copy()
+        """An independent copy of the current values, column-major like them."""
+        return self._values.copy(order="F")
 
     def set_values(
         self, values: Union[Sequence[float], np.ndarray], copy: bool = True
@@ -292,7 +304,9 @@ class GossipNetwork:
 
         ``copy=False`` adopts the array without a defensive copy — for
         callers handing over a freshly built array they will not touch
-        again (the tournament phases do this every iteration).
+        again (the tournament phases do this every iteration).  Either way
+        the stored matrix is column-major: a row-major array is copied into
+        that order once (an adopted column-major array is taken as is).
         """
         array = np.asarray(values, dtype=self._dtype)
         if array.shape != self._values.shape:
@@ -300,11 +314,13 @@ class GossipNetwork:
                 f"expected values of shape {self._values.shape}, "
                 f"got shape {array.shape}"
             )
-        self._values = array.copy() if copy else array
+        self._values = (
+            array.copy(order="F") if copy else np.asfortranarray(array)
+        )
 
     def reset(self) -> None:
         """Restore the initial values and clear accumulated metrics."""
-        self._values = self._initial_values.copy()
+        self._values = self._initial_values.copy(order="F")
         self.metrics = NetworkMetrics(keep_history=self.metrics.keep_history)
         if self._process is not None:
             self._process.begin()
@@ -338,12 +354,13 @@ class GossipNetwork:
         sit out a round (see :func:`~repro.gossip.failures.round_failures`)
         have ``ok = False`` for that round and receive no value (NaN).
         ``values`` pulls from an override array of the network's shape
-        instead of the network's own values.
+        instead of the network's own values; a row-major override is
+        converted to column-major once per pull, not once per lane.
         """
         if k <= 0:
             raise ConfigurationError("k must be positive")
         source = self._values if values is None else np.asarray(
-            values, dtype=self._dtype
+            values, dtype=self._dtype, order="F"
         )
         if source.shape != self._values.shape:
             raise ConfigurationError(
@@ -438,10 +455,11 @@ class GossipNetwork:
     def _gather(self, source: np.ndarray, partners: np.ndarray) -> np.ndarray:
         """Gather the pulled values: ``(n, k)`` or ``(n, k, L)``.
 
-        Multi-lane gathers go lane by lane from a contiguous column —
-        several 1-d gathers are ~3x faster than one row-wise gather of
-        ``(n, L)`` rows.  The lanes-first block is returned as a transposed
-        ``(n, k, L)`` view.  ``np.take(mode="clip")`` skips the per-element
+        Multi-lane gathers go lane by lane, each straight from the lane's
+        contiguous column of the column-major ``source`` (no per-lane copy)
+        — several 1-d gathers are ~3x faster than one row-wise gather of
+        ``(n, L)`` rows.  The lanes-first ``(L, n, k)`` block is returned as
+        a transposed ``(n, k, L)`` view.  ``np.take(mode="clip")`` skips the per-element
         bounds check fancy indexing pays (partners are drawn in ``[0, n)``,
         so clipping never fires) — ~40% faster on latency-bound gathers at
         n = 10⁶.
@@ -452,12 +470,7 @@ class GossipNetwork:
             (self._lanes,) + partners.shape, dtype=self._dtype
         )
         for lane in range(self._lanes):
-            np.take(
-                np.ascontiguousarray(source[:, lane]),
-                partners,
-                out=block[lane],
-                mode="clip",
-            )
+            np.take(source[:, lane], partners, out=block[lane], mode="clip")
         return block.transpose(1, 2, 0)
 
     def _mask_failed(self, pulled: np.ndarray, ok: np.ndarray) -> np.ndarray:
@@ -509,7 +522,7 @@ class GossipNetwork:
             pulled = (pulled * factor).astype(self._dtype, copy=False)
         if ring is not None:
             # The batch's outgoing snapshot becomes "one window ago".
-            ring.append(source.copy())
+            ring.append(source.copy(order="F"))
         reset_nodes = np.logical_or.reduce([rf.restarted for rf in round_faults])
         if self._faults.reset_on_restart and np.any(reset_nodes):
             # Crash-and-restart state loss, applied at the batch boundary:

@@ -41,21 +41,18 @@ def resample_forbidden_targets(
     """
     if n < 2:
         raise ValueError("need at least 2 possible targets to exclude one")
-    forbidden = np.asarray(forbidden)
-    if targets.shape == forbidden.shape and targets.ndim == 1:
-        # Same-shape fast path (the per-round partner draw): track only the
-        # colliding *indices* between passes instead of re-comparing the
-        # full arrays.  Collisions are visited in index order, exactly like
-        # the boolean-mask assignment, so the draws are unchanged.
-        bad = np.flatnonzero(targets == forbidden)
-        while bad.size:
-            targets[bad] = source.integers(0, n, size=bad.size)
-            bad = bad[targets[bad] == forbidden[bad]]
-        return targets
-    mask = targets == forbidden
-    while np.any(mask):
-        targets[mask] = source.integers(0, n, size=int(mask.sum()))
-        mask = targets == forbidden
+    # Track only the colliding *flat indices* between passes instead of
+    # re-comparing the full arrays.  Collisions are visited in C order,
+    # exactly like a boolean-mask assignment, so every pass re-draws the
+    # same entries with the same ``integers`` size and the stream is
+    # unchanged.  ``.flat`` reads and writes through any strides, so a
+    # non-contiguous ``targets`` view is updated in place, and a broadcast
+    # ``(n, 1)`` ``forbidden`` is never materialised.
+    forbidden = np.broadcast_to(np.asarray(forbidden), targets.shape)
+    bad = np.flatnonzero(targets == forbidden)
+    while bad.size:
+        targets.flat[bad] = source.integers(0, n, size=bad.size)
+        bad = bad[targets.flat[bad] == forbidden.flat[bad]]
     return targets
 
 
