@@ -115,7 +115,8 @@ class GossipNetwork:
     values:
         Initial value of every node: length ``n`` for a single-lane network
         or an ``(n, L)`` column-stacked matrix for ``L`` lanes sharing one
-        partner stream (see the module docstring).
+        partner stream (copied into column-major storage; see the module
+        docstring).
     rng:
         Seed or :class:`RandomSource` for partner selection and failures.
     failure_model:
