@@ -10,6 +10,13 @@ value distribution:
 * the ε-approximate tournament algorithm (Theorem 1.2) for cheap dashboards,
 * the direct-sampling baseline, to show the 1/ε² round blow-up it needs.
 
+It then runs a :class:`~repro.core.service.QuantileService` lifecycle for a
+live dashboard: one fused gossip pass builds the ε-grid, percentile and
+rank-of queries are answered from it without further rounds, a slice of
+shards gets slower, and an incremental rebuild refreshes the drifted
+lanes.  The script exits non-zero if any served answer misses its target
+rank by more than ``eps + query_accuracy``.
+
 Run with::
 
     python examples/distributed_database.py
@@ -17,15 +24,70 @@ Run with::
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 from repro import approximate_quantile, exact_quantile
 from repro.baselines import sampling_quantile
+from repro.core.service import QuantileService
 from repro.datasets import zipf_values
 from repro.utils.stats import empirical_quantile, rank_error
 
 
-def main() -> None:
+def _serve(service: QuantileService, latencies: np.ndarray, label: str) -> int:
+    """Serve percentile and rank-of queries; count answers off target.
+
+    A grid answer is within ``eps / 2 + query_accuracy`` of its target
+    inside the grid's coverage, plus up to ``eps / 2`` of drift before its
+    lane is served as degraded: ``eps + query_accuracy`` in all.  Percentile
+    queries therefore stay inside the coverage ``[eps / 2, 1 - eps / 2]``.
+    """
+    eps = service.eps
+    tolerance = eps + eps / 2.0  # the default query accuracy is eps / 2
+    grid = service.grid
+    coverage = np.linspace(grid[0] - eps / 2.0, grid[-1] + eps / 2.0, 25)
+    misses = 0
+    for phi in (0.5, 0.95, *coverage):
+        answer = service.quantile(float(phi))
+        misses += rank_error(latencies, answer.value, answer.phi) > tolerance
+    for probe in np.quantile(latencies, np.linspace(0.02, 0.98, 25)):
+        answer = service.rank_of(float(probe))
+        misses += rank_error(latencies, float(probe), answer.phi) > tolerance
+    p95 = service.quantile(0.95)
+    print(
+        f"{label}: p95 {p95.value:8.2f} ms (epoch {p95.epoch}, "
+        f"{service.queries_answered} queries, {misses} off target)"
+    )
+    return misses
+
+
+def serve_dashboard(latencies: np.ndarray) -> int:
+    """Build, query, update and incrementally rebuild a QuantileService."""
+    latencies = latencies.copy()
+    service = QuantileService(latencies.copy(), eps=0.05, rng=7)
+    print(f"service built in {service.rounds} rounds "
+          f"({service.grid.size} grid lanes)")
+    misses = _serve(service, latencies, "served   ")
+
+    # A fifth of the shards slow down 3x: the upper lanes drift.
+    rng = np.random.default_rng(11)
+    slowed = rng.choice(latencies.size, size=latencies.size // 5, replace=False)
+    for shard in slowed:
+        latencies[shard] *= 3.0
+        service.update_value(int(shard), float(latencies[shard]))
+    drifted = service.stale_lanes().size
+    report = service.rebuild(incremental=True)
+    print(
+        f"rebuild  : {report.lanes_rebuilt} of {drifted} drifted lanes, "
+        f"{report.chunks_run} of {report.full_chunks} chunks, "
+        f"{report.rounds} rounds, validated {report.validated}"
+    )
+    misses += _serve(service, latencies, "refreshed")
+    return misses + (not report.validated)
+
+
+def main() -> int:
     n = 2048
     latencies = zipf_values(n, exponent=1.8, rng=23) * 3.0  # milliseconds
     print(f"{n} shards, heavy-tailed latencies (max {latencies.max():.0f} ms)")
@@ -55,6 +117,9 @@ def main() -> None:
         f"({sampled.rounds} rounds — the 1/eps^2 penalty)"
     )
 
+    print()
+    return 1 if serve_dashboard(latencies) else 0
+
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -443,13 +443,16 @@ def _exact_quantile_impl(
 
         # Step 5: rank of the minimum.  Keys are exactly {1..live}, so the
         # count is determined by the sandwich; in simulated fidelity we also
-        # run the push-sum counting substrate to pay its rounds.
+        # run the push-sum counting substrate to pay its rounds, and keep
+        # its count so the history shows whether counting was exact.
+        counted = None
         with tracer.span("counting", metrics) as span:
             span.annotate(iteration=iteration)
             if simulate:
                 # repro-lint: disable=thread-kwargs -- documented deviation: the push-sum counting substrate runs on the complete graph (see the topology note in exact_quantile's docstring).
-                count_leq(node_keys, threshold=min_key, rng=source.child(),
-                          failure_model=failures, metrics=metrics)
+                counted = count_leq(node_keys, threshold=min_key,
+                                    rng=source.child(),
+                                    failure_model=failures, metrics=metrics)
             else:
                 metrics.charge_rounds(
                     _charged_counting_rounds(n), label="counting"
@@ -534,6 +537,8 @@ def _exact_quantile_impl(
                 target_rank=k,
                 distinct_candidates=_distinct_sorted(key_values),
                 rounds_so_far=metrics.rounds,
+                counted_rank=None if counted is None else counted.count,
+                count_exact=None if counted is None else counted.exact,
             )
         )
 

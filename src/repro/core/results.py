@@ -120,6 +120,12 @@ class ExactIterationStats:
     target_rank: int
     distinct_candidates: int
     rounds_so_far: int
+    #: Step 5's push-sum count of keys ``<= min_key`` (simulated fidelity
+    #: only; the idealized fidelity charges the rounds without counting).
+    counted_rank: Optional[int] = None
+    #: Whether every node's rounded count equalled the true count — the
+    #: exact-counting condition Algorithm 3 relies on.
+    count_exact: Optional[bool] = None
 
 
 @dataclass

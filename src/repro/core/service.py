@@ -22,9 +22,10 @@ the sketch is a per-item stream fold — opt-in, priced at its
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from time import perf_counter
-from typing import List, Optional, Sequence, Union
+from typing import List, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -44,6 +45,7 @@ from repro.sketches.kll import KLLSketch
 from repro.topology.dynamic import ChurnProcess
 from repro.topology.graphs import Topology
 from repro.utils.rand import RandomSource
+from repro.utils.views import readonly
 
 #: Payload bits of one answered query: the value plus framing.
 ANSWER_BITS = BITS_HEADER + BITS_PER_VALUE
@@ -125,6 +127,31 @@ class RebuildReport:
     backoff_rounds: int
     rounds: int
     validated: bool
+
+
+class _ServingTable(NamedTuple):
+    """Everything a query reads, built once per invalidation.
+
+    The per-lane facts live in plain-Python lists: a query over the
+    ~1/eps-lane grid then costs list indexing and one ``bisect`` instead of
+    numpy dispatch on a tiny array.
+    """
+
+    #: Per-lane rank drift since the epoch baseline (read-only).
+    drift: np.ndarray
+    #: The active values, ascending (read-only).
+    sorted_active: np.ndarray
+    #: The grid targets, ascending.
+    grid: List[float]
+    #: The served answer per lane.
+    answers: List[float]
+    #: Per-lane drift capped at 1: a rank error can't exceed the unit range.
+    capped_drift: List[float]
+    #: The non-NaN answers, ascending (NaN ranks nowhere, so it never
+    #: counts as below a value).
+    ranked_answers: List[float]
+    #: The largest capped drift over all lanes (0 with no lanes).
+    worst_drift: float
 
 
 class QuantileService:
@@ -265,13 +292,7 @@ class QuantileService:
         # One representative served value per grid lane: the median of the
         # per-node lane outputs (all nodes agree up to the ε guarantee, so
         # the median is a w.h.p.-correct network-level answer).
-        grid_values = self._result.grid_values
-        answers = np.empty(grid_values.shape[0], dtype=float)
-        for row in range(grid_values.shape[0]):
-            lane = grid_values[row]
-            finite = lane[np.isfinite(lane)]
-            answers[row] = float(np.median(finite)) if finite.size else float("nan")
-        self._grid_answers = answers
+        self._grid_answers = self._lane_answers(self._result.grid_values)
 
         self._sketch: Optional[KLLSketch] = None
         self._sketch_k = sketch_k
@@ -302,7 +323,9 @@ class QuantileService:
         self._pending_updates: List[float] = []
         #: Cumulative departures folded into the sketch staleness bound.
         self._sketch_departed = 0
-        self._drift_cache: Optional[np.ndarray] = None
+        #: What queries read; ``None`` after anything moves an answer, a
+        #: value or the active set, and rebuilt by the next reader.
+        self._serving: Optional[_ServingTable] = None
         self._commit_epoch(advance=False)
 
     # -- build-time facts ---------------------------------------------------------
@@ -394,8 +417,14 @@ class QuantileService:
             return self._churn.active
         return np.ones(self._array.size, dtype=bool)
 
-    def _commit_epoch(self, advance: bool = True) -> None:
-        """Snapshot the current population as the fresh-epoch baseline."""
+    def _commit_epoch(
+        self, advance: bool = True, sorted_active: Optional[np.ndarray] = None
+    ) -> None:
+        """Snapshot the current population as the fresh-epoch baseline.
+
+        ``sorted_active`` passes in the active values already sorted, when
+        the caller has them, so the baseline costs no second sort.
+        """
         active = self._active_mask()
         if advance:
             # Departures relative to the *previous* baseline go stale in
@@ -410,10 +439,12 @@ class QuantileService:
                 self._sketch.merge(delta)
             self.epoch += 1
         self._epoch_active = active.copy()
-        self._epoch_sorted = np.sort(self._array[active], kind="stable")
+        if sorted_active is None:
+            sorted_active = np.sort(self._array[active], kind="stable")
+        self._epoch_sorted = sorted_active
         self._pending_updates = []
         self._suspect_lanes.clear()
-        self._drift_cache = None
+        self._serving = None
 
     def advance_churn(self, rounds: int = 1) -> Optional[RebuildReport]:
         """Step the attached churn process ``rounds`` rounds forward.
@@ -432,7 +463,7 @@ class QuantileService:
         start = self._churn.rounds_generated
         for offset in range(rounds):
             self._churn.round_state(start + offset)
-        self._drift_cache = None
+        self._serving = None
         if self._auto_rebuild:
             return self.maybe_rebuild()
         return None
@@ -453,7 +484,7 @@ class QuantileService:
             raise ConfigurationError("value must not be NaN")
         self._array[int(index)] = value
         self._pending_updates.append(value)
-        self._drift_cache = None
+        self._serving = None
         if self._auto_rebuild:
             return self.maybe_rebuild()
         return None
@@ -466,13 +497,17 @@ class QuantileService:
         fraction at the epoch snapshot — how far the answer's rank has
         moved under departures and value updates.  Lanes whose answers are
         non-finite (a faulted build) or failed their last rebuild
-        validation report infinite drift.
+        validation report infinite drift.  The array is read-only: it is
+        the cached state the served bounds are computed from.
         """
-        if self._drift_cache is not None:
-            return self._drift_cache
+        return self._serving_table().drift
+
+    def _serving_table(self) -> _ServingTable:
+        """The cached serving state, rebuilt if something invalidated it."""
+        if self._serving is not None:
+            return self._serving
         answers = self._grid_answers
-        active = self._active_mask()
-        now = np.sort(self._array[active], kind="stable")
+        now = np.sort(self._array[self._active_mask()], kind="stable")
         below_now = np.searchsorted(now, answers, side="left") / max(now.size, 1)
         below_epoch = np.searchsorted(
             self._epoch_sorted, answers, side="left"
@@ -481,8 +516,18 @@ class QuantileService:
         drift[~np.isfinite(answers)] = np.inf
         for lane in self._suspect_lanes:
             drift[lane] = np.inf
-        self._drift_cache = drift
-        return drift
+        self._serving = _ServingTable(
+            drift=readonly(drift),
+            sorted_active=readonly(now),
+            grid=self._result.grid.tolist(),
+            answers=answers.tolist(),
+            capped_drift=np.minimum(drift, 1.0).tolist(),
+            ranked_answers=np.sort(
+                answers[~np.isnan(answers)], kind="stable"
+            ).tolist(),
+            worst_drift=float(min(np.max(drift, initial=0.0), 1.0)),
+        )
+        return self._serving
 
     def stale_lanes(self) -> np.ndarray:
         """Indices of grid lanes whose drift exceeds the staleness threshold."""
@@ -526,9 +571,12 @@ class QuantileService:
         else:
             lanes = np.arange(grid.size)
             mode = "full"
+        # The one sort of the active values this rebuild pays: the drift
+        # check, the answer self-check and the new baseline all read it.
+        sorted_now = self._serving_table().sorted_active
         if lanes.size == 0:
             # Nothing stale: refresh the baseline (a free epoch commit).
-            self._commit_epoch()
+            self._commit_epoch(sorted_active=sorted_now)
             self.rebuilds += 1
             return RebuildReport(
                 epoch=self.epoch, mode=mode, lanes_rebuilt=0, chunks_run=0,
@@ -539,7 +587,6 @@ class QuantileService:
         active = self._active_mask()
         array = self._array[active]
         targets = grid[lanes]
-        sorted_now = np.sort(array, kind="stable")
         rounds_before = metrics.rounds
         chunks_run = 0
         backoff_rounds = 0
@@ -576,12 +623,12 @@ class QuantileService:
         self._grid_answers[lanes[valid]] = answers[valid]
         validated = bool(valid.all())
         if validated:
-            self._commit_epoch()
+            self._commit_epoch(sorted_active=sorted_now)
         else:
             # Partial: refreshed lanes serve the new answers, failed lanes
             # stay pinned stale so the degradation remains visible.
             self._suspect_lanes.update(int(lane) for lane in lanes[~valid])
-            self._drift_cache = None
+            self._serving = None
         self.rebuilds += 1
         return RebuildReport(
             epoch=self.epoch, mode=mode, lanes_rebuilt=int(valid.sum()),
@@ -692,13 +739,13 @@ class QuantileService:
             # Every comparison with NaN is False, which would answer the
             # bottom bracket as if NaN were below every grid value.
             raise ConfigurationError("value must not be NaN")
-        below = int(np.count_nonzero(self._grid_answers < value))
-        estimate = float(np.clip((below + 0.5) * self._eps, 0.0, 1.0))
+        table = self._serving_table()
+        below = bisect_left(table.ranked_answers, value)
+        estimate = min((below + 0.5) * self._eps, 1.0)
         accuracy = self._eps + self._query_accuracy
         # Rank-of uses the whole ladder, so the *worst* lane drift widens
-        # the bound (capped at 1: a rank error can't exceed the unit range).
-        drift = self.lane_drift()
-        worst = float(min(np.max(drift, initial=0.0), 1.0))
+        # the bound.
+        worst = table.worst_drift
         stale = worst > self._staleness_threshold
         if stale:
             accuracy += worst
@@ -722,23 +769,30 @@ class QuantileService:
         return self._result.quantile_estimates
 
     def _grid_bracket(self, phi: float) -> Optional[QueryAnswer]:
-        grid = self._result.grid
-        if grid.size == 0:
+        table = self._serving_table()
+        grid = table.grid
+        if not grid:
             return None
-        index = int(np.argmin(np.abs(grid - phi)))
-        distance = float(abs(grid[index] - phi))
-        accuracy = distance + self._query_accuracy
+        phi = float(phi)
+        # The nearest lane on the ascending grid; on an exact tie the lower
+        # lane wins.
+        index = bisect_left(grid, phi)
+        if index == len(grid) or (
+            index > 0 and phi - grid[index - 1] <= grid[index] - phi
+        ):
+            index -= 1
+        accuracy = abs(grid[index] - phi) + self._query_accuracy
         # A stale lane answers with its bound widened by the estimated rank
         # drift (capped at 1), never tighter than the fault-free bound —
         # and the auto source selection then naturally prefers a fresher
         # sketch over a drifted grid lane.
-        lane_drift = float(min(self.lane_drift()[index], 1.0))
+        lane_drift = table.capped_drift[index]
         stale = lane_drift > self._staleness_threshold
         if stale:
             accuracy += lane_drift
         return QueryAnswer(
-            phi=float(phi),
-            value=float(self._grid_answers[index]),
+            phi=phi,
+            value=table.answers[index],
             source="grid",
             accuracy=accuracy,
             grid_index=index,

@@ -1,5 +1,6 @@
 """Tests for the exact φ-quantile algorithm (Theorem 1.1 / Algorithm 3)."""
 
+import importlib
 import math
 
 import numpy as np
@@ -164,3 +165,43 @@ def test_simulated_fidelity_engine_choice_does_not_change_the_answer():
         set_default_engine(before)
     assert results["loop"].value == truth
     assert results["vectorized"].value == truth
+
+
+@pytest.mark.parametrize("seed,phi", [(31, 0.5), (32, 0.2), (33, 0.9)])
+def test_simulated_step5_counts_are_exact_and_recorded(monkeypatch, seed, phi):
+    """Failure-free push-sum counting (Step 5) is exact, and each
+    iteration's history keeps the count: the number of current keys at or
+    below the spread minimum, agreed by every node."""
+    # The package re-exports the function under the module's name.
+    driver = importlib.import_module("repro.core.exact_quantile")
+    counts = []
+    original = driver.count_leq
+
+    def spy(values, threshold, **kwargs):
+        counted = original(values, threshold, **kwargs)
+        truth = int(np.count_nonzero(np.asarray(values) <= threshold))
+        counts.append((truth, counted.count, counted.exact))
+        return counted
+
+    monkeypatch.setattr(driver, "count_leq", spy)
+    values = gaussian_values(2_000, rng=seed)
+    result = exact_quantile(values, phi=phi, rng=seed, fidelity="simulated")
+    assert result.value == empirical_quantile(values, phi)
+    assert result.history and counts
+    assert all(truth == count and exact for truth, count, exact in counts)
+    # An iteration that only sharpens eps counts without a history entry,
+    # so the recorded counts are the spied ones in order, possibly fewer.
+    spied = iter(counts)
+    for stats in result.history:
+        assert any(
+            (stats.counted_rank, stats.count_exact) == (count, exact)
+            for _, count, exact in spied
+        )
+
+
+def test_idealized_history_leaves_the_step5_count_unset(medium_values):
+    result = exact_quantile(medium_values, phi=0.5, rng=4)
+    assert result.history
+    for stats in result.history:
+        assert stats.counted_rank is None
+        assert stats.count_exact is None

@@ -97,6 +97,25 @@ def test_fresh_service_answers_are_not_degraded():
     assert answer.accuracy >= service._query_accuracy
 
 
+def test_lane_drift_is_read_only():
+    """The drift array is the cached state stale_lanes(), degraded and the
+    served bounds read: a caller's write must fail, not desynchronise
+    them."""
+    service, values, churn = _service(n=64)
+    drift = service.lane_drift()
+    with pytest.raises(ValueError):
+        drift[0] = np.inf
+    with pytest.raises(ValueError):
+        drift += 1.0
+    assert not service.degraded
+    assert not service.quantile(service.grid[0]).degraded
+    # Invalidation hands out a fresh array, read-only again.
+    _shift_band(service, values, churn, seed=7)
+    assert service.lane_drift() is not drift
+    with pytest.raises(ValueError):
+        service.lane_drift()[:] = 0.0
+
+
 # ---------------------------------------------- degradation properties
 
 
