@@ -445,7 +445,7 @@ def _exact_quantile_impl(
         # count is determined by the sandwich; in simulated fidelity we also
         # run the push-sum counting substrate to pay its rounds, and keep
         # its count so the history shows whether counting was exact.
-        counted = None
+        counted_rank = count_exact = None
         with tracer.span("counting", metrics) as span:
             span.annotate(iteration=iteration)
             if simulate:
@@ -453,6 +453,9 @@ def _exact_quantile_impl(
                 counted = count_leq(node_keys, threshold=min_key,
                                     rng=source.child(),
                                     failure_model=failures, metrics=metrics)
+                counted_rank, count_exact = counted.count, counted.exact
+                # Drop the per-node estimates (n floats) before Step 7.
+                del counted
             else:
                 metrics.charge_rounds(
                     _charged_counting_rounds(n), label="counting"
@@ -537,8 +540,8 @@ def _exact_quantile_impl(
                 target_rank=k,
                 distinct_candidates=_distinct_sorted(key_values),
                 rounds_so_far=metrics.rounds,
-                counted_rank=None if counted is None else counted.count,
-                count_exact=None if counted is None else counted.exact,
+                counted_rank=counted_rank,
+                count_exact=count_exact,
             )
         )
 
