@@ -70,7 +70,7 @@ def serve_dashboard(latencies: np.ndarray) -> int:
           f"({service.grid.size} grid lanes)")
     misses = _serve(service, latencies, "served   ")
 
-    # A fifth of the shards slow down 3x: the upper lanes drift.
+    # A fifth of the shards slow down 3x, so most lanes drift.
     rng = np.random.default_rng(11)
     slowed = rng.choice(latencies.size, size=latencies.size // 5, replace=False)
     for shard in slowed:

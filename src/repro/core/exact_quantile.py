@@ -445,7 +445,8 @@ def _exact_quantile_impl(
         # count is determined by the sandwich; in simulated fidelity we also
         # run the push-sum counting substrate to pay its rounds, and keep
         # its count so the history shows whether counting was exact.
-        counted_rank = count_exact = None
+        counted_rank: Optional[int] = None
+        count_exact: Optional[bool] = None
         with tracer.span("counting", metrics) as span:
             span.annotate(iteration=iteration)
             if simulate:
